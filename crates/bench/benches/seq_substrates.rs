@@ -7,7 +7,7 @@ mod common;
 use criterion::{BatchSize, Criterion};
 use lsm::Lsm;
 use pq_traits::{Item, SequentialPq};
-use seqpq::{BinaryHeap, DaryHeap, OsTreap, PairingHeap};
+use seqpq::{BinaryHeap, OsTreap, PairingHeap};
 
 const N: u64 = 10_000;
 
@@ -83,12 +83,10 @@ fn bench_treap_rank_replay(c: &mut Criterion) {
 fn main() {
     let mut c = common::criterion_config();
     bench_insert_drain::<BinaryHeap>(&mut c, "binary_heap");
-    bench_insert_drain::<DaryHeap<4>>(&mut c, "dary4_heap");
     bench_insert_drain::<PairingHeap>(&mut c, "pairing_heap");
     bench_insert_drain::<Lsm>(&mut c, "lsm");
     bench_insert_drain::<OsTreap>(&mut c, "ostreap");
     bench_hold::<BinaryHeap>(&mut c, "binary_heap");
-    bench_hold::<DaryHeap<4>>(&mut c, "dary4_heap");
     bench_hold::<PairingHeap>(&mut c, "pairing_heap");
     bench_hold::<Lsm>(&mut c, "lsm");
     bench_treap_rank_replay(&mut c);

@@ -27,32 +27,55 @@ use pq_traits::trace;
 
 /// Version of the exported JSON layout, bumped on breaking shape
 /// changes. Version 2 added the `meta` block itself; version 3 added
-/// the runtime-detected `cpu_features` list and the dispatched
-/// `simd_tier` (both from [`lsm::KernelTier`]), so a recorded run
-/// states which kernel tier actually produced its numbers.
-pub const SCHEMA_VERSION: u32 = 3;
+/// `cpu_features` and the LSM's `simd_tier`; version 4 dropped
+/// `simd_tier` (the LSM has one scalar path) and added the host's
+/// `available_parallelism` and an `oversubscribed` flag.
+pub const SCHEMA_VERSION: u32 = 4;
+
+/// Runtime-detected x86 vector feature names, in a fixed order, for
+/// the `meta` block. Empty on non-x86_64 targets.
+fn detected_cpu_features() -> Vec<&'static str> {
+    #[cfg(target_arch = "x86_64")]
+    {
+        let mut out = Vec::new();
+        macro_rules! probe {
+            ($($f:tt),*) => {
+                $(if std::arch::is_x86_feature_detected!($f) {
+                    out.push($f);
+                })*
+            };
+        }
+        probe!("sse4.2", "avx", "avx2", "avx512f", "avx512bw", "avx512dq", "avx512vl");
+        out
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        Vec::new()
+    }
+}
 
 /// The self-describing `meta` object every JSON export embeds: schema
 /// version, compiled feature switches, worker thread count (0 when the
 /// export spans several thread counts and the per-cell value governs),
-/// host OS/arch, the runtime-detected CPU feature set, and the kernel
-/// tier the LSM dispatch selected (honouring `LSM_FORCE_KERNEL_TIER`),
-/// so a BENCH_*.json can be interpreted long after the run that
-/// produced it.
+/// host OS/arch, the runtime-detected CPU feature set, the host's
+/// available parallelism, and whether `threads` exceeds it
+/// (`oversubscribed`), so a BENCH_*.json can be interpreted long after
+/// the run that produced it.
 pub fn run_metadata_json(threads: usize) -> String {
-    let cpu_features = lsm::KernelTier::detected_cpu_features()
+    let cpu_features = detected_cpu_features()
         .iter()
         .map(|f| format!("\"{}\"", json_escape(f)))
         .collect::<Vec<_>>()
         .join(", ");
+    let parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
     format!(
         "{{\"schema_version\": {SCHEMA_VERSION}, \"os\": \"{}\", \"arch\": \"{}\", \
          \"threads\": {threads}, \"cpu_features\": [{cpu_features}], \
-         \"simd_tier\": \"{}\", \
+         \"available_parallelism\": {parallelism}, \"oversubscribed\": {}, \
          \"features\": {{\"telemetry\": {}, \"trace\": {}}}}}",
         json_escape(std::env::consts::OS),
         json_escape(std::env::consts::ARCH),
-        json_escape(lsm::active_tier().name()),
+        threads > parallelism,
         telemetry::enabled(),
         trace::compiled(),
     )
@@ -513,15 +536,21 @@ mod tests {
         assert!(json.contains("\"threads\": 2,"), "meta threads missing: {json}");
         assert!(json.contains(&format!("\"telemetry\": {}", telemetry::enabled())));
         assert!(json.contains(&format!("\"trace\": {}", trace::compiled())));
-        // v3: the dispatched kernel tier and detected CPU feature set.
-        assert!(
-            json.contains(&format!("\"simd_tier\": \"{}\"", lsm::active_tier().name())),
-            "meta simd_tier missing: {json}"
-        );
         assert!(json.contains("\"cpu_features\": ["), "meta cpu_features missing: {json}");
-        // The standalone helper matches what the report embeds.
+        // v4: host parallelism and the oversubscription flag.
+        let parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert!(
+            json.contains(&format!("\"available_parallelism\": {parallelism},")),
+            "meta available_parallelism missing: {json}"
+        );
+        assert!(!json.contains("simd_tier"), "v4 drops simd_tier: {json}");
+        // The standalone helper matches what the report embeds, and
+        // flags a thread count above the host's parallelism.
         assert_balanced(&run_metadata_json(8));
         assert!(run_metadata_json(8).contains("\"threads\": 8"));
+        assert!(run_metadata_json(1).contains("\"oversubscribed\": false"));
+        let over = run_metadata_json(parallelism + 1);
+        assert!(over.contains("\"oversubscribed\": true"), "{over}");
     }
 
     #[test]

@@ -12,17 +12,12 @@
 //! buffers, and compaction reuses the block's own allocation via
 //! `copy_within`/`truncate` instead of copying to a fresh vector.
 //!
-//! Merging dispatches on size and kernel tier: the vector chunked merge
-//! from [`crate::simd`] whenever the dispatched SIMD tier covers the
-//! shape, the bidirectional two-chain kernel from
+//! Merging dispatches on size: the bidirectional two-chain kernel from
 //! [`crate::kernels::MERGE_PATH_MIN`] combined items up, and the scalar
-//! cursor merge below it (and on the kernels-off A/B arm, which is the
-//! frozen PR 4 baseline for every size; the simd-off arm freezes the
-//! PR 5 dispatch by pinning [`KernelTier::Scalar`]).
+//! cursor merge below it.
 
 use crate::kernels;
 use crate::pool::BlockPool;
-use crate::simd::{self, KernelTier};
 use pq_traits::Item;
 
 /// Sorted block with O(1) front removal.
@@ -138,40 +133,19 @@ impl Block {
     }
 
     /// Two-way merge of the live items of two blocks into a buffer drawn
-    /// from `pool`; both source buffers are recycled into `pool`.
-    /// Equivalent to [`Block::merge_with`] with the branch-free kernels
-    /// enabled at the process-wide [`simd::active_tier`].
+    /// from `pool`; both source buffers are recycled into `pool`. Runs
+    /// the bidirectional two-chain kernel from [`kernels::MERGE_PATH_MIN`]
+    /// items up and the scalar branchless cursor merge below it. (Merge
+    /// networks, a chunked bitonic merge and AVX2/AVX-512 merges all
+    /// measured slower than this dispatch; see the EXPERIMENTS.md kernel
+    /// ablations.)
     pub fn merge_into(a: Block, b: Block, pool: &mut BlockPool) -> Block {
-        Self::merge_with(a, b, pool, true, simd::active_tier())
-    }
-
-    /// Two-way merge with explicit kernel selection (`branch_free` is
-    /// false only on the kernels-off A/B arm, `tier` is
-    /// [`KernelTier::Scalar`] on the simd-off arm): the in-register
-    /// vector small-merge wherever the whole-queue A/B measured it
-    /// profitable ([`KernelTier::merge_profitable`] — an empty set on
-    /// the measured host), the bidirectional two-chain kernel from
-    /// [`kernels::MERGE_PATH_MIN`] items up, and the scalar branchless
-    /// cursor merge below it. The tier-1 merge network, tier-2 chunked
-    /// bitonic kernel, and every vector merge regime measured slower
-    /// than this dispatch at every size, so they are ablation arms,
-    /// not production dispatch targets; see the EXPERIMENTS.md kernel
-    /// ablations.
-    pub(crate) fn merge_with(
-        a: Block,
-        b: Block,
-        pool: &mut BlockPool,
-        branch_free: bool,
-        tier: KernelTier,
-    ) -> Block {
         let (sa, sb) = (a.live_slice(), b.live_slice());
         let total = sa.len() + sb.len();
         debug_assert!(total > 0, "merging two empty blocks");
         let mut out = pool.acquire(total);
         debug_assert!(out.is_empty() && out.capacity() >= total);
-        if branch_free && tier.merge_profitable(sa.len(), sb.len()) {
-            simd::merge_simd_append(tier, sa, sb, &mut out);
-        } else if branch_free && total >= kernels::MERGE_PATH_MIN {
+        if total >= kernels::MERGE_PATH_MIN {
             kernels::merge_bidirectional_append(sa, sb, &mut out);
         } else {
             kernels::scalar_merge_append(sa, sb, &mut out);

@@ -12,13 +12,11 @@
 #![warn(missing_docs)]
 
 pub mod binary_heap;
-pub mod dary_heap;
 pub mod fenwick;
 pub mod ostreap;
 pub mod pairing_heap;
 
 pub use binary_heap::BinaryHeap;
-pub use dary_heap::DaryHeap;
 pub use fenwick::Fenwick;
 pub use ostreap::OsTreap;
 pub use pairing_heap::PairingHeap;
